@@ -1,8 +1,9 @@
 //! Deterministic perf harness: the `BENCH_*.json` trajectory.
 //!
 //! A registry of named, fixed-seed scenarios covers every hot path of the
-//! workspace — Cholesky factorization and the O(n²) bordered extension vs.
-//! the O(n³) refit it replaces, GP fit/predict/augment, local-GP selection
+//! workspace — blocked vs. reference Cholesky factorization, the O(n²)
+//! bordered extension, the inverse and the LML gradient at the sizes an AL
+//! trajectory reaches, GP fit/predict/augment, local-GP selection
 //! over a 10⁵-candidate grid, the AMR solver step at 1 vs. all threads, and
 //! one end-to-end RGMA sweep iteration. Each scenario runs warmup calls,
 //! then N timed repeats (auto-batched so a sample spans at least a few
@@ -151,7 +152,7 @@ impl RobustStats {
 /// One measured scenario inside a report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
-    /// Registry name, e.g. `cholesky_factor_n400`.
+    /// Registry name, e.g. `cholesky_extend_n400`.
     pub name: String,
     /// Warmup calls executed before sampling.
     pub warmup: usize,
@@ -424,20 +425,9 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
     };
     let mut out = Vec::new();
     for &n in sizes {
-        out.push(Scenario::new(
-            "linalg",
-            format!("cholesky_factor_n{n}"),
-            move || {
-                let a = spd_gram(n, 11);
-                Box::new(move || {
-                    let ch = al_linalg::Cholesky::new(&a).expect("SPD gram factors");
-                    std::hint::black_box(ch.log_det());
-                })
-            },
-        ));
-        // The augment-vs-refit pair: extending an n-point factor by one
-        // bordered row (O(n²), includes the clone the GP augment path
-        // performs) against refactoring the (n+1)-point matrix (O(n³)).
+        // Extending an n-point factor by one bordered row (O(n²), includes
+        // the clone the GP augment path performs); the O(n³) refactor it
+        // saves is `cholesky_factor_blocked_nN` below.
         out.push(Scenario::new(
             "linalg",
             format!("cholesky_extend_n{n}"),
@@ -463,14 +453,18 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
                 })
             },
         ));
+    }
+    // K⁻¹ at the sizes an RGMA trajectory passes through (n 50 → 250): the
+    // LML gradient inverts the kernel matrix once per optimizer evaluation.
+    for n in [100usize, 250] {
         out.push(Scenario::new(
             "linalg",
-            format!("cholesky_refit_n{n}"),
+            format!("cholesky_inverse_n{n}"),
             move || {
-                let a = spd_gram(n + 1, 13);
+                let ch = al_linalg::Cholesky::new(&spd_gram(n, 19)).expect("SPD gram factors");
                 Box::new(move || {
-                    let ch = al_linalg::Cholesky::new(&a).expect("SPD gram factors");
-                    std::hint::black_box(ch.dim());
+                    let inv = ch.inverse().expect("inverse of a valid factor");
+                    std::hint::black_box(inv.as_slice()[0]);
                 })
             },
         ));
@@ -575,6 +569,21 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             Box::new(move || {
                 gp.fit(&x_next, &y_next).expect("synthetic data fits");
                 std::hint::black_box(gp.n_train());
+            })
+        },
+    ));
+    // One LML gradient at the end of a trajectory (n = 250): the body of
+    // every optimizer evaluation at a re-optimization boundary.
+    out.push(Scenario::new(
+        "gp",
+        "lml_gradient_n250".to_string(),
+        move || {
+            let (x, y) = training_data(250, 5, 29);
+            let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+            gp.fit(&x, &y).expect("synthetic data fits");
+            Box::new(move || {
+                let g = gp.lml_gradient().expect("fitted model has a gradient");
+                std::hint::black_box(g[0]);
             })
         },
     ));
@@ -1449,14 +1458,11 @@ mod tests {
             .iter()
             .map(|s| format!("{}/{}", s.group, s.name))
             .collect();
-        // The ROADMAP-contracted coverage: extend-vs-refit curve, local
-        // selection at 1e5 candidates, thread scaling, end-to-end AL.
+        // The ROADMAP-contracted coverage: extend curve, local selection at
+        // 1e5 candidates, thread scaling, end-to-end AL.
         assert!(names
             .iter()
             .any(|n| n.starts_with("linalg/cholesky_extend_n")));
-        assert!(names
-            .iter()
-            .any(|n| n.starts_with("linalg/cholesky_refit_n")));
         assert!(names.contains(&"gp/local_select_100k".to_string()));
         assert!(names.contains(&"amr/solver_step_threads_1".to_string()));
         assert!(names.contains(&"amr/solver_step_threads_all".to_string()));
@@ -1477,6 +1483,14 @@ mod tests {
         // PR 10: workers hammering the sharded SessionStore — the priced
         // counterpart of the alint L7 locking contract.
         assert!(names.contains(&"al/store_contention".to_string()));
+        // The re-optimization layers at trajectory sizes; the plain factor
+        // and the factor-at-n+1 "refit" duplicated the blocked scenarios.
+        assert!(names.contains(&"linalg/cholesky_inverse_n100".to_string()));
+        assert!(names.contains(&"linalg/cholesky_inverse_n250".to_string()));
+        assert!(names.contains(&"gp/lml_gradient_n250".to_string()));
+        for gone in ["linalg/cholesky_factor_n200", "linalg/cholesky_refit_n200"] {
+            assert!(!names.iter().any(|n| n == gone), "{gone} is back");
+        }
         // Unknown group is a typed error.
         assert!(matches!(
             registry(Tier::Quick, &["nope".to_string()]),
@@ -1496,9 +1510,7 @@ mod tests {
             .map(|s| s.name.clone())
             .collect();
         for n in [200, 400, 800, 1600] {
-            assert!(full.contains(&format!("cholesky_factor_n{n}")), "n={n}");
             assert!(full.contains(&format!("cholesky_extend_n{n}")), "n={n}");
-            assert!(full.contains(&format!("cholesky_refit_n{n}")), "n={n}");
         }
         for n in [400, 800, 1600] {
             assert!(

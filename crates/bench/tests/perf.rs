@@ -169,7 +169,8 @@ fn list_names_the_contracted_scenarios() {
     let text = String::from_utf8_lossy(&out.stdout);
     for needle in [
         "linalg/cholesky_extend_n",
-        "linalg/cholesky_refit_n",
+        "linalg/cholesky_inverse_n",
+        "gp/lml_gradient_n250",
         "gp/local_select_100k",
         "amr/solver_step_threads_1",
         "al/rgma_sweep_",

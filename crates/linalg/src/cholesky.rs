@@ -353,7 +353,12 @@ impl Cholesky {
         self.solve_upper(&z)
     }
 
-    /// Solve `A X = B` column by column.
+    /// Solve `A X = B` for every column of `B` at once.
+    ///
+    /// Bitwise identical to calling [`Cholesky::solve`] on each column
+    /// (DESIGN §13): the forward and back sweeps run over all columns
+    /// together, but every element keeps the accumulation order of the
+    /// single-column solves.
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
         if b.rows() != self.dim() {
             return Err(LinalgError::ShapeMismatch {
@@ -362,15 +367,101 @@ impl Cholesky {
                 rhs: b.shape(),
             });
         }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve(&col)?;
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
+        let mut x = b.clone();
+        self.forward_sweep(&mut x, false);
+        self.back_sweep(&mut x);
+        Ok(x)
+    }
+
+    /// Multi-right-hand-side forward substitution `Z = L⁻¹ B`, in place over
+    /// the row-major `n×m` buffer `z`.
+    ///
+    /// Row `i` of `Z` is `(B(i,·) − Σ_{k<i} L(i,k)·Z(k,·)) / L(i,i)`. The sum
+    /// runs as contiguous AXPYs over all columns, in ascending `k`, from the
+    /// value `Iterator::sum::<f64>` folds from — exactly the accumulator
+    /// [`Cholesky::solve_lower`]'s `ops::dot` builds for each column. Four
+    /// `k` share one pass over the accumulator row; each element still adds
+    /// their products one at a time in ascending `k`.
+    ///
+    /// With `lower_rhs`, row `k` of `B` is taken to be zero beyond column `k`
+    /// (the identity), so row `k` of `Z` is too and its AXPY stops there.
+    /// Skipping those exact-zero products, or adding a few of them, cannot
+    /// change a bit: they only meet a still-zero accumulator, whose sign is
+    /// lost at the first non-zero term or in the final `B(i,j) − acc` with
+    /// `B(i,j) ∈ {0, 1}`.
+    fn forward_sweep(&self, z: &mut Matrix, lower_rhs: bool) {
+        let n = self.dim();
+        let m = z.cols();
+        let start: f64 = std::iter::empty::<f64>().sum();
+        let width = |k: usize| if lower_rhs { (k + 1).min(m) } else { m };
+        let mut acc = vec![start; m];
+        for i in 0..n {
+            let wi = width(i);
+            acc[..wi].fill(start);
+            let lrow = self.l.row(i);
+            let (done, rest) = z.as_mut_slice().split_at_mut(i * m);
+            let zrow = |k: usize, w: usize| &done[k * m..k * m + w];
+            let mut k = 0;
+            while k + 4 <= i {
+                let w = width(k + 3);
+                let (z0, z1, z2, z3) = (zrow(k, w), zrow(k + 1, w), zrow(k + 2, w), zrow(k + 3, w));
+                let (l0, l1, l2, l3) = (lrow[k], lrow[k + 1], lrow[k + 2], lrow[k + 3]);
+                for ((((a, &v0), &v1), &v2), &v3) in
+                    acc[..w].iter_mut().zip(z0).zip(z1).zip(z2).zip(z3)
+                {
+                    *a = *a + l0 * v0 + l1 * v1 + l2 * v2 + l3 * v3;
+                }
+                k += 4;
+            }
+            for (k, &lik) in lrow.iter().enumerate().take(i).skip(k) {
+                let w = width(k);
+                for (a, &v) in acc[..w].iter_mut().zip(zrow(k, w)) {
+                    *a += lik * v;
+                }
+            }
+            let lii = lrow[i];
+            for (zv, &a) in rest[..wi].iter_mut().zip(&acc[..wi]) {
+                *zv = (*zv - a) / lii;
             }
         }
-        Ok(out)
+    }
+
+    /// Multi-right-hand-side back substitution `X = L⁻ᵀ Z`, in place.
+    ///
+    /// Rows go in descending `i`; row `i` starts from `Z(i,·)` and subtracts
+    /// `L(k,i)·X(k,·)` term by term in ascending `k > i`, then divides by
+    /// `L(i,i)` — per element the exact sequence of
+    /// [`Cholesky::solve_upper`]. As in the forward sweep, four `k` share
+    /// one pass over row `i`.
+    fn back_sweep(&self, x: &mut Matrix) {
+        let n = self.dim();
+        let m = x.cols();
+        let ld = self.l.as_slice();
+        for i in (0..n).rev() {
+            let (head, done) = x.as_mut_slice().split_at_mut((i + 1) * m);
+            let xi = &mut head[i * m..];
+            let xrow = |k: usize| &done[(k - i - 1) * m..(k - i) * m];
+            let lcol = |k: usize| ld[k * n + i];
+            let mut k = i + 1;
+            while k + 4 <= n {
+                let (x0, x1, x2, x3) = (xrow(k), xrow(k + 1), xrow(k + 2), xrow(k + 3));
+                let (l0, l1, l2, l3) = (lcol(k), lcol(k + 1), lcol(k + 2), lcol(k + 3));
+                for ((((s, &v0), &v1), &v2), &v3) in xi.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+                    *s = *s - l0 * v0 - l1 * v1 - l2 * v2 - l3 * v3;
+                }
+                k += 4;
+            }
+            for k in k..n {
+                let lki = lcol(k);
+                for (s, &v) in xi.iter_mut().zip(xrow(k)) {
+                    *s -= lki * v;
+                }
+            }
+            let lii = ld[i * n + i];
+            for s in xi.iter_mut() {
+                *s /= lii;
+            }
+        }
     }
 
     /// `log |A| = 2 Σ log L_ii` — the model-complexity term of the paper's
@@ -387,8 +478,15 @@ impl Cholesky {
 
     /// Explicit inverse `A⁻¹` (used by the LML gradient, which needs the
     /// full matrix `K⁻¹` once per gradient evaluation).
+    ///
+    /// Bitwise identical to `solve_matrix(&Matrix::identity(n))`, but the
+    /// forward sweep skips the known-zero upper triangle of `L⁻¹`, so it
+    /// costs `n³/6` multiply-adds instead of `n³/2`.
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
+        let mut x = Matrix::identity(self.dim());
+        self.forward_sweep(&mut x, true);
+        self.back_sweep(&mut x);
+        Ok(x)
     }
 
     /// Reconstruct `L Lᵀ` (test helper; includes the jitter on the diagonal).
@@ -805,6 +903,88 @@ mod tests {
                 assert_eq!(f.to_bits(), s.to_bits(), "x[{i}] diverges at n={n}");
             }
         }
+    }
+
+    /// The column-by-column `solve_matrix` that the multi-RHS sweeps
+    /// replaced, verbatim: the parity oracle for `solve_matrix` and
+    /// `inverse` (which was `solve_matrix(identity)`).
+    fn solve_matrix_reference(ch: &Cholesky, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(b.rows(), b.cols());
+        for j in 0..b.cols() {
+            let col: Vec<f64> = (0..b.rows()).map(|i| b[(i, j)]).collect();
+            let x = ch.solve(&col).unwrap();
+            for i in 0..b.rows() {
+                out[(i, j)] = x[i];
+            }
+        }
+        out
+    }
+
+    fn assert_matrices_bitwise_equal(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        let cols = got.cols();
+        for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            let (i, j) = (idx / cols, idx % cols);
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: ({i},{j}) diverges: {g} vs oracle {w}"
+            );
+        }
+    }
+
+    /// Deterministic `n×m` right-hand side with mixed signs. Every fifth
+    /// entry is `-0.0`, whose sign survives `-0.0 − acc` only if the
+    /// accumulator starts where `ops::dot` starts.
+    fn rhs(n: usize, m: usize, seed: u64) -> Matrix {
+        let data: Vec<f64> = (0..n * m)
+            .map(|i| match i % 5 {
+                0 => -0.0,
+                _ => ((i as f64) * 0.61 + seed as f64).cos() * 3.0,
+            })
+            .collect();
+        Matrix::from_vec(n, m, data)
+    }
+
+    #[test]
+    fn multi_rhs_sweeps_match_column_oracle_bitwise() {
+        // Paper-scale sizes (n = 200, 250) live in tests/props.rs; these stay
+        // small enough for the Miri job.
+        for &n in &[0usize, 1, 2, 5, 17, 63, 64, 65, 130] {
+            let ch = Cholesky::new(&spd_random(n, 7 + n as u64)).unwrap();
+            let want = solve_matrix_reference(&ch, &Matrix::identity(n));
+            assert_matrices_bitwise_equal(&ch.inverse().unwrap(), &want, &format!("inverse n={n}"));
+            for m in [0usize, 1, 7] {
+                let b = rhs(n, m, n as u64 + m as u64);
+                let got = ch.solve_matrix(&b).unwrap();
+                let want = solve_matrix_reference(&ch, &b);
+                assert_matrices_bitwise_equal(&got, &want, &format!("solve_matrix {n}x{m}"));
+            }
+        }
+        // Wider than tall.
+        let ch = Cholesky::new(&spd_random(17, 2)).unwrap();
+        let b = rhs(17, 40, 5);
+        let want = solve_matrix_reference(&ch, &b);
+        assert_matrices_bitwise_equal(&ch.solve_matrix(&b).unwrap(), &want, "solve_matrix 17x40");
+    }
+
+    #[test]
+    fn inverse_of_jittered_factor_matches_column_oracle_bitwise() {
+        // The rank-5 Gram of the jittered-factor parity test: K⁻¹ of a
+        // barely regularized matrix has huge, cancellation-prone entries.
+        let n = 90;
+        let data: Vec<f64> = (0..n * 5)
+            .map(|i| ((i as f64) * 0.43 + 0.2).sin())
+            .collect();
+        let b = Matrix::from_vec(n, 5, data);
+        let a = b.matmul(&b.transpose()).unwrap();
+        let ch = Cholesky::with_jitter(&a, 1e-10, 1e-2).unwrap();
+        assert!(ch.jitter() > 0.0);
+        let want = solve_matrix_reference(&ch, &Matrix::identity(n));
+        assert_matrices_bitwise_equal(&ch.inverse().unwrap(), &want, "jittered inverse");
+        let b = rhs(n, 3, 1);
+        let want = solve_matrix_reference(&ch, &b);
+        assert_matrices_bitwise_equal(&ch.solve_matrix(&b).unwrap(), &want, "jittered solve");
     }
 
     fn delete_row_col(a: &Matrix, index: usize) -> Matrix {

@@ -118,12 +118,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copy column `j` into a new vector.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Borrow the underlying row-major storage.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -422,11 +416,5 @@ mod tests {
     fn frobenius_norm_matches() {
         let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn col_extracts_column() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.col(1), vec![2.0, 4.0]);
     }
 }

@@ -16,7 +16,12 @@ use proptest::prelude::*;
 
 /// Strategy: a random SPD matrix `A = B Bᵀ + n·I` of size `n ∈ [1, 8]`.
 fn spd_matrix() -> impl Strategy<Value = Matrix> {
-    (1usize..=8).prop_flat_map(|n| {
+    spd_matrix_sized(1..=8)
+}
+
+/// Strategy: a random SPD matrix `A = B Bᵀ + n·I` with `n` drawn from `sizes`.
+fn spd_matrix_sized(sizes: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Matrix> {
+    sizes.prop_flat_map(|n| {
         proptest::collection::vec(-1.0f64..1.0, n * n).prop_map(move |data| {
             let b = Matrix::from_vec(n, n, data);
             let mut a = b.matmul(&b.transpose()).unwrap();
@@ -30,7 +35,80 @@ fn vector(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-10.0f64..10.0, n)
 }
 
+/// `A X = B` one column at a time through the single-vector `solve`: the
+/// parity oracle for the multi-right-hand-side `solve_matrix` and `inverse`.
+fn solve_columns(ch: &Cholesky, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(b.rows(), b.cols());
+    for j in 0..b.cols() {
+        let col: Vec<f64> = (0..b.rows()).map(|i| b[(i, j)]).collect();
+        let x = ch.solve(&col).unwrap();
+        for i in 0..b.rows() {
+            out[(i, j)] = x[i];
+        }
+    }
+    out
+}
+
+/// Index of the first entry whose bits differ, if any.
+fn first_bit_difference(got: &Matrix, want: &Matrix) -> Option<usize> {
+    assert_eq!(got.shape(), want.shape());
+    got.as_slice()
+        .iter()
+        .zip(want.as_slice())
+        .position(|(g, w)| g.to_bits() != w.to_bits())
+}
+
+#[test]
+fn inverse_matches_column_solves_bitwise_at_paper_scale() {
+    // RBF Gram plus noise on scattered 1-D points: the shape of the kernel
+    // matrix a GP inverts at a re-optimization boundary, at the sizes an
+    // RGMA trajectory reaches (n 50 → 250).
+    for n in [200usize, 250] {
+        let pts: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7123).sin() * 4.0).collect();
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let d = pts[i] - pts[j];
+                a[(i, j)] = (-0.5 * d * d).exp();
+            }
+        }
+        a.add_diagonal(1e-2);
+        let ch = Cholesky::with_jitter(&a, 1e-10, 1e-2).unwrap();
+        let want = solve_columns(&ch, &Matrix::identity(n));
+        assert_eq!(
+            first_bit_difference(&ch.inverse().unwrap(), &want),
+            None,
+            "n={n}"
+        );
+        let b = Matrix::from_vec(n, 3, (0..3 * n).map(|i| (i as f64 * 0.3).sin()).collect());
+        let got = ch.solve_matrix(&b).unwrap();
+        assert_eq!(
+            first_bit_difference(&got, &solve_columns(&ch, &b)),
+            None,
+            "n={n}"
+        );
+    }
+}
+
 proptest! {
+    #[test]
+    fn multi_rhs_solves_match_column_solves_bitwise(
+        a in spd_matrix_sized(1..=40),
+        m in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        let n = a.rows();
+        let ch = Cholesky::new(&a).unwrap();
+        let inv = ch.inverse().unwrap();
+        prop_assert_eq!(first_bit_difference(&inv, &solve_columns(&ch, &Matrix::identity(n))), None);
+        let data: Vec<f64> = (0..n * m)
+            .map(|i| ((seed as f64 + 1.0) * (i as f64 + 0.5)).sin() * 10.0)
+            .collect();
+        let b = Matrix::from_vec(n, m, data);
+        let x = ch.solve_matrix(&b).unwrap();
+        prop_assert_eq!(first_bit_difference(&x, &solve_columns(&ch, &b)), None);
+    }
+
     #[test]
     fn cholesky_reconstructs_spd_matrices(a in spd_matrix()) {
         let ch = Cholesky::new(&a).unwrap();
